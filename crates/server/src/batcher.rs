@@ -1,8 +1,10 @@
-//! The decode gateway: a cross-connection batching scheduler.
+//! The decode gateway: a cross-connection batching scheduler, and the only
+//! path from either front end to the decoder.
 //!
-//! Without it, each connection decodes alone and the transformer forward —
-//! the dominant server-side cost — runs once per stream. The gateway parks
-//! per-connection `DECODE` requests in a bounded queue; a scheduler thread
+//! The transformer forward is the dominant server-side cost; the gateway
+//! lets concurrent streams share it. It parks every decode request —
+//! each `DECODE` and each `DECODE_BATCH` member — in a bounded queue; a
+//! scheduler thread
 //! closes a *batching window* when either [`GatewayConfig::max_batch`] jobs
 //! have accumulated or the window's wait budget has elapsed since the
 //! window opened, then hands the whole window to a small decode-worker
@@ -24,9 +26,9 @@
 //! stops paying latency for batching that will never materialise.
 //!
 //! The gateway degrades gracefully rather than blocking: a full queue or a
-//! shutdown in progress hands the container back to the connection handler,
-//! which decodes it inline (threaded path) or sheds it with a typed `BUSY`
-//! error (reactor path).
+//! shutdown in progress hands the container back to the front end, which
+//! sheds it with a typed `BUSY` error. Decode panics are caught here, in
+//! the workers, and fail only the request that caused them.
 
 use crate::fault;
 use crate::metrics::ServerMetrics;
@@ -39,7 +41,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Turns a caught panic payload into the `Internal` error's message.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_string())
@@ -60,14 +62,16 @@ pub struct GatewayConfig {
     /// Decode worker threads draining dispatched windows. More than one
     /// lets a new window decode while a slow one is still in flight.
     pub workers: usize,
-    /// Requests parked in the queue before the gateway starts refusing
-    /// (refused requests decode inline on their connection's thread, or
-    /// are shed with `BUSY` on the reactor path).
+    /// Requests parked in the queue before the gateway starts refusing;
+    /// refused requests are answered with the typed `BUSY` error on both
+    /// front ends.
     pub queue_depth: usize,
     /// Scale the wait budget by the observed arrival rate: when the
     /// inter-arrival EWMA says the window cannot plausibly fill within
     /// `max_wait_us`, dispatch early instead of sleeping out the full
-    /// budget. `max_wait_us` remains the hard ceiling either way.
+    /// budget. `max_wait_us` remains the hard ceiling either way. On by
+    /// default; `false` makes every window wait out `max_wait_us` unless
+    /// it fills first.
     pub adaptive_wait: bool,
     /// Per-request deadline in microseconds, measured from admission
     /// (`0` = no deadline). A job that no worker has picked up when its
@@ -86,7 +90,7 @@ impl Default for GatewayConfig {
             max_wait_us: 2_000,
             workers: 2,
             queue_depth: 256,
-            adaptive_wait: false,
+            adaptive_wait: true,
             deadline_us: 0,
         }
     }
@@ -252,14 +256,13 @@ impl Batcher {
     /// Parks a parsed container for batched decoding on the given engine
     /// tier. `source` identifies the submitting connection for the
     /// round-robin fairness draw; `reply` is invoked exactly once with the
-    /// result, on a decode-worker thread. Returns the container and
-    /// callback back if the gateway cannot take the job (full queue or
-    /// shutdown), in which case the caller decodes inline or sheds. Jobs
-    /// on different tiers may share a window but never a model forward
-    /// (the tier joins the decoder's fusion key).
-    // The large Err variant is the point: the rejected job travels back to
-    // the caller whole so the threaded path can decode it inline and the
-    // reactor can shed it, without either path cloning the container.
+    /// result, on a decode-worker thread. Returns the job's parts back if
+    /// the gateway cannot take it (full queue or shutdown), in which case
+    /// the caller sheds it and closes the refused span. Jobs on different
+    /// tiers may share a window but never a model forward (the tier joins
+    /// the decoder's fusion key).
+    // The large Err variant hands the rejected job back whole instead of
+    // dropping it behind the caller's back.
     #[allow(clippy::result_large_err)]
     pub fn submit(
         &self,
@@ -270,7 +273,7 @@ impl Batcher {
         reply: ReplyFn,
     ) -> Result<(), (EaszEncoded, Option<SpanCtx>, ReplyFn)> {
         // Fault hook (compiles out of default builds): refuse as if the
-        // queue were saturated, exercising the inline/shed degradation.
+        // queue were saturated, exercising the `BUSY` shed.
         if fault::submit_refuse() {
             return Err((container, span, reply));
         }
@@ -449,8 +452,8 @@ impl Batcher {
             // Hand over — but never outrun the workers: the ready backlog
             // is bounded at one pending window per worker, so under
             // sustained overload jobs pile up in the *submission* queue,
-            // whose bound is what makes `submit` refuse and degrade to
-            // inline decode (and what the queue-depth metrics watch).
+            // whose bound is what makes `submit` refuse and the front ends
+            // shed (and what the queue-depth metrics watch).
             // With deadlines on, the wait ticks and sweeps instead of
             // parking: a stalled worker pool must not let drawn or queued
             // jobs age past their deadline unanswered.
@@ -736,7 +739,12 @@ mod tests {
 
     #[test]
     fn window_closes_on_max_batch_and_fuses_mixed_masks() {
-        let config = GatewayConfig { max_batch: 3, max_wait_us: 60_000_000, ..Default::default() };
+        let config = GatewayConfig {
+            max_batch: 3,
+            max_wait_us: 60_000_000,
+            adaptive_wait: false,
+            ..Default::default()
+        };
         let ((), metrics) = with_batcher(config, |batcher, decoder| {
             // Distinct seeds => distinct masks; one window must still fuse
             // them and every reply must match its serial decode.
@@ -768,7 +776,12 @@ mod tests {
         // must be bit-equal to its own tier's serial decode, and the two
         // tiers must differ — proof the fused window kept them on separate
         // forwards.
-        let config = GatewayConfig { max_batch: 4, max_wait_us: 60_000_000, ..Default::default() };
+        let config = GatewayConfig {
+            max_batch: 4,
+            max_wait_us: 60_000_000,
+            adaptive_wait: false,
+            ..Default::default()
+        };
         let ((), metrics) = with_batcher(config, |batcher, decoder| {
             let c = container(7);
             let tiers = [
@@ -801,7 +814,12 @@ mod tests {
 
     #[test]
     fn window_closes_on_max_wait() {
-        let config = GatewayConfig { max_batch: 64, max_wait_us: 1_000, ..Default::default() };
+        let config = GatewayConfig {
+            max_batch: 64,
+            max_wait_us: 1_000,
+            adaptive_wait: false,
+            ..Default::default()
+        };
         let ((), metrics) = with_batcher(config, |batcher, _| {
             let rx = submit_chan(batcher, container(5), DecodeEngine::TapeFree, 1)
                 .expect("queue has room");
@@ -818,6 +836,7 @@ mod tests {
             max_batch: 64,
             max_wait_us: 60_000_000,
             queue_depth: 2,
+            adaptive_wait: false,
             ..Default::default()
         };
         // No scheduler/workers: the queue can only fill.
@@ -827,7 +846,7 @@ mod tests {
         assert!(submit_chan(&batcher, c.clone(), tier, 1).is_ok());
         assert!(submit_chan(&batcher, c.clone(), tier, 2).is_ok());
         let refused = submit_chan(&batcher, c.clone(), tier, 3).expect_err("queue is full");
-        assert_eq!(refused, c, "the container comes back for inline decode");
+        assert_eq!(refused, c, "the container comes back to the caller");
         batcher.shutdown();
         let refused = submit_chan(&batcher, c.clone(), tier, 1).expect_err("shutdown refuses work");
         assert_eq!(refused, c);
@@ -838,7 +857,12 @@ mod tests {
         let model = Reconstructor::new(ReconstructorConfig::fast());
         let decoder = EaszDecoder::new(&model);
         let metrics = Arc::new(ServerMetrics::new());
-        let config = GatewayConfig { max_batch: 64, max_wait_us: 60_000_000, ..Default::default() };
+        let config = GatewayConfig {
+            max_batch: 64,
+            max_wait_us: 60_000_000,
+            adaptive_wait: false,
+            ..Default::default()
+        };
         let batcher = Batcher::new(config, metrics);
         let c = container(4);
         std::thread::scope(|scope| {
@@ -895,7 +919,8 @@ mod tests {
     fn window_draw_is_round_robin_across_sources() {
         // One flooding source (4 jobs) plus two light ones: the draw must
         // interleave one-per-source before giving the flooder extra slots.
-        let config = GatewayConfig { max_wait_us: 60_000_000, ..Default::default() };
+        let config =
+            GatewayConfig { max_wait_us: 60_000_000, adaptive_wait: false, ..Default::default() };
         let batcher = Batcher::new(config, Arc::new(ServerMetrics::new()));
         let tier = DecodeEngine::TapeFree;
         for _ in 0..4 {
@@ -913,7 +938,8 @@ mod tests {
 
     #[test]
     fn partial_draw_keeps_remaining_sources_rotated() {
-        let config = GatewayConfig { max_wait_us: 60_000_000, ..Default::default() };
+        let config =
+            GatewayConfig { max_wait_us: 60_000_000, adaptive_wait: false, ..Default::default() };
         let batcher = Batcher::new(config, Arc::new(ServerMetrics::new()));
         let tier = DecodeEngine::TapeFree;
         for source in [1u64, 2, 1, 2, 1] {
@@ -929,7 +955,12 @@ mod tests {
 
     #[test]
     fn adaptive_wait_budget_tracks_arrival_rate() {
-        let fixed = GatewayConfig { max_batch: 8, max_wait_us: 2_000, ..Default::default() };
+        let fixed = GatewayConfig {
+            max_batch: 8,
+            max_wait_us: 2_000,
+            adaptive_wait: false,
+            ..Default::default()
+        };
         // Disabled or no estimate yet: always the full budget.
         assert_eq!(effective_wait_us(&fixed, 3, 500), 2_000);
         let adaptive = GatewayConfig { adaptive_wait: true, ..fixed };
@@ -946,7 +977,8 @@ mod tests {
 
     #[test]
     fn submissions_feed_the_arrival_ewma() {
-        let config = GatewayConfig { max_wait_us: 60_000_000, ..Default::default() };
+        let config =
+            GatewayConfig { max_wait_us: 60_000_000, adaptive_wait: false, ..Default::default() };
         let metrics = Arc::new(ServerMetrics::new());
         let batcher = Batcher::new(config, metrics.clone());
         let tier = DecodeEngine::TapeFree;
@@ -1017,6 +1049,7 @@ mod tests {
             max_batch: 3,
             max_wait_us: 60_000_000,
             workers: 1,
+            adaptive_wait: false,
             ..Default::default()
         };
         let ((), metrics) = with_batcher(config, |batcher, decoder| {
@@ -1066,6 +1099,6 @@ mod tests {
         let c = container(2);
         let refused = submit_chan(&batcher, c.clone(), DecodeEngine::TapeFree, 1)
             .expect_err("every submit refused");
-        assert_eq!(refused, c, "the container comes back for inline decode");
+        assert_eq!(refused, c, "the container comes back to the caller");
     }
 }

@@ -122,12 +122,11 @@ fn render(
         stats.decode_requests, stats.decode_ok, stats.decode_err, stats.requests_shed
     );
     println!(
-        "conns    {:>10}   accepted {:>6}   refused {:>5}   batches {:>6}   inline {:>6}",
+        "conns    {:>10}   accepted {:>6}   refused {:>5}   batches {:>6}",
         stats.connections_active,
         stats.connections_accepted,
         stats.connections_refused,
-        stats.batches_dispatched,
-        stats.inline_decodes
+        stats.batches_dispatched
     );
     println!(
         "queue    depth {:>5}   peak {:>7}   arrival-gap ewma {} ",

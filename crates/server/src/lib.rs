@@ -6,14 +6,14 @@
 //! The paper's deployment story (Fig. 2) is asymmetric — model-free edge
 //! encoders streaming to a server that owns the transformer — and this
 //! crate moves the bytes between the two halves that `easz-core` already
-//! provides. The server's job is *amortisation*: containers arriving in one
-//! `DECODE_BATCH` frame are decoded through
-//! [`EaszDecoder::decode_batch`](easz_core::EaszDecoder::decode_batch), and
-//! with the **decode gateway** enabled
-//! ([`EaszServer::with_gateway`]) requests from *different* connections are
-//! parked into batching windows and fused too — one transformer forward
-//! per window group, even when every edge sender rolls its own mask seed
-//! (the multi-mask fused forward in `easz-core`).
+//! provides. The server's job is *amortisation*: every decode — each
+//! `DECODE` and each member of a `DECODE_BATCH` — goes through the
+//! **decode gateway** ([`GatewayConfig`], tuned with
+//! [`EaszServer::with_gateway`]), which parks requests from all
+//! connections into batching windows and decodes each window through
+//! [`EaszDecoder::decode_batch`](easz_core::EaszDecoder::decode_batch) —
+//! one transformer forward per window group, even when every edge sender
+//! rolls its own mask seed (the multi-mask fused forward in `easz-core`).
 //!
 //! The wire format (both the `.easz` container and this crate's framing)
 //! is specified normatively in `docs/FORMAT.md` at the repository root.
@@ -21,7 +21,8 @@
 //! * [`EaszServer`] — multi-threaded accept loop (`std::net::TcpListener` +
 //!   `std::thread::scope`, no external dependencies); one shared model,
 //!   one handler thread per connection.
-//! * [`GatewayConfig`] — the cross-connection batching scheduler: window
+//! * [`GatewayConfig`] — the cross-connection batching scheduler every
+//!   decode goes through, on both front ends: window
 //!   size (`max_batch`), window latency budget (`max_wait_us`), decode
 //!   worker count, queue bound, adaptive windows (`adaptive_wait`).
 //! * [`ReactorConfig`] — the event-driven reactor front end (below).
@@ -78,17 +79,17 @@
 //!   round-robin draw across sources: one job per connection per cycle,
 //!   so a flooding client cannot fill every window.
 //! * **Admission control & shedding** — accepts beyond
-//!   [`ReactorConfig::max_connections`] and well-framed decodes that hit
-//!   a saturated gateway queue are answered with the typed `BUSY` error
-//!   frame (`docs/FORMAT.md` §2.2) instead of being silently dropped or
-//!   decoded inline on the loop.
+//!   [`ReactorConfig::max_connections`] are answered with the typed `BUSY`
+//!   error frame (`docs/FORMAT.md` §2.2) instead of being silently
+//!   dropped; well-framed decodes that hit a saturated gateway queue get
+//!   the same `BUSY` on both front ends.
 //! * **Backpressure** — a connection with too many decodes in flight or
 //!   too many unflushed reply bytes stops being read until it drains; the
 //!   kernel receive buffer then throttles the peer.
-//! * **Adaptive windows** — with [`GatewayConfig::adaptive_wait`] (the
-//!   reactor's default gateway enables it) the batching window's wait
-//!   budget follows the observed inter-arrival EWMA: sparse traffic
-//!   dispatches immediately, bursts wait just long enough to fill.
+//! * **Adaptive windows** — with [`GatewayConfig::adaptive_wait`] (on by
+//!   default, on both front ends) the batching window's wait budget
+//!   follows the observed inter-arrival EWMA: sparse traffic dispatches
+//!   immediately, bursts wait just long enough to fill.
 //!
 //! Replies on the reactor path are byte-identical to the threaded path
 //! and to serial local decoding — enforced by the loopback test suite.
@@ -102,20 +103,24 @@
 //! process):
 //!
 //! 1. **`BUSY` shed (code 35)** — overload. Admission control refuses
-//!    connections beyond [`ReactorConfig::max_connections`]; a saturated
-//!    gateway queue sheds the decode. Cheapest refusal, fired first.
+//!    connections beyond [`ReactorConfig::max_connections`]; on both front
+//!    ends, a decode the gateway refuses (queue full, or shutting down) is
+//!    shed in its place in the reply order, and the connection stays
+//!    open. Cheapest refusal, fired first.
 //! 2. **Deadline expiry (code 38, `DEADLINE_EXCEEDED`)** — a job admitted
 //!    to the gateway carries a deadline ([`GatewayConfig::deadline_us`]);
 //!    if no worker picks it up in time it is swept unstarted and answered,
 //!    so a stalled pool can never park a handler in `reply.recv()`
 //!    forever.
-//! 3. **Panic isolation (code 37, `INTERNAL`)** — every decode (gateway
-//!    worker, threaded handler, reactor job) runs under `catch_unwind`; a
-//!    panicking container fails *its own* request, the supervisor respawns
-//!    the poisoned worker, and the connection keeps serving.
+//! 3. **Panic isolation (code 37, `INTERNAL`)** — every decode runs under
+//!    `catch_unwind` in a gateway worker; a panicking container fails *its
+//!    own* request, the supervisor respawns the poisoned worker, and the
+//!    connection keeps serving.
 //! 4. **Graceful drain** — shutdown (or SIGTERM in `easz-serve`) stops
-//!    accepting, flushes parked gateway jobs, and answers everything
-//!    in-flight before closing — the shutdown-flush invariant.
+//!    accepting and reading, flushes parked gateway jobs, and answers
+//!    everything in-flight before closing — the shutdown-flush invariant.
+//!    A peer that stops reading its replies is closed after a grace
+//!    period instead of pinning shutdown.
 //!
 //! The client side mirrors this: [`EaszClient`] takes a [`RetryPolicy`]
 //! (capped exponential backoff with seeded jitter) and retries exactly the

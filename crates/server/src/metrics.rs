@@ -77,11 +77,8 @@ pub struct ServerMetrics {
     /// Per-container `ERROR` replies sent (codes `1..=15`).
     decode_err: AtomicU64,
     /// Fused forward groups issued — one count per `(model id, tier,
-    /// geometry)` fusion group a batch or gateway window dispatched.
+    /// geometry)` fusion group a gateway window dispatched.
     batches_dispatched: AtomicU64,
-    /// Containers decoded outside the gateway (gateway disabled, queue
-    /// full, or shutdown in progress).
-    inline_decodes: AtomicU64,
     /// Current gateway queue depth (gauge).
     queue_depth: AtomicU64,
     /// High-water gateway queue depth.
@@ -112,7 +109,7 @@ pub struct ServerMetrics {
     /// table was full, or the socket could not be registered).
     connections_refused: AtomicU64,
     /// Well-framed decode requests shed with a `BUSY` error because the
-    /// gateway queue was saturated and no inline fallback existed.
+    /// gateway refused them (queue saturated, or shutting down).
     requests_shed: AtomicU64,
     /// EWMA of the microseconds between consecutive gateway submissions
     /// (gauge; `0` = no estimate yet). Drives the adaptive batching window.
@@ -135,7 +132,6 @@ impl Default for ServerMetrics {
             decode_ok: AtomicU64::new(0),
             decode_err: AtomicU64::new(0),
             batches_dispatched: AtomicU64::new(0),
-            inline_decodes: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             queue_peak: AtomicU64::new(0),
             queue_wait_us: AtomicU64::new(0),
@@ -181,11 +177,6 @@ impl ServerMetrics {
     pub fn record_error(&self, code: ErrorCode) {
         let idx = (code.value() as usize).min(MAX_ERROR_CODE);
         self.errors[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one container decoded outside the gateway.
-    pub fn record_inline_decode(&self) {
-        self.inline_decodes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a decode batch of `width` containers and the wall time its
@@ -298,7 +289,7 @@ impl ServerMetrics {
             decode_ok: self.decode_ok.load(Ordering::Relaxed),
             decode_err: self.decode_err.load(Ordering::Relaxed),
             batches_dispatched: self.batches_dispatched.load(Ordering::Relaxed),
-            inline_decodes: self.inline_decodes.load(Ordering::Relaxed),
+            inline_decodes: 0,
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             queue_peak: self.queue_peak.load(Ordering::Relaxed),
             queue_wait_us: self.queue_wait_us.load(Ordering::Relaxed),
@@ -343,7 +334,8 @@ pub struct ServerStats {
     /// Fused forward groups issued (one per `(model id, tier, geometry)`
     /// fusion group dispatched).
     pub batches_dispatched: u64,
-    /// Containers decoded outside the gateway.
+    /// Containers decoded outside the gateway: always `0`, since every
+    /// decode goes through it; kept so the `STATS` payload layout holds.
     pub inline_decodes: u64,
     /// Gateway queue depth at snapshot time (gauge).
     pub queue_depth: u64,
@@ -600,7 +592,6 @@ mod tests {
         m.record_batch(3, 1500);
         m.record_batch(1, 200);
         m.record_batch(WIDTH_BUCKETS + 10, 9000); // overflow bucket
-        m.record_inline_decode();
         m.record_queue_depth(4);
         m.record_queue_depth(2);
         m.record_queue_wait(750);
@@ -627,7 +618,7 @@ mod tests {
         assert_eq!(stats.batch_widths[2], 1);
         assert_eq!(stats.batch_widths[WIDTH_BUCKETS - 1], 1);
         assert_eq!(stats.decode_us, 10700);
-        assert_eq!(stats.inline_decodes, 1);
+        assert_eq!(stats.inline_decodes, 0, "nothing decodes outside the gateway");
         assert_eq!((stats.queue_depth, stats.queue_peak), (2, 4));
         assert_eq!(stats.queue_wait_us, 750);
         assert_eq!((stats.connections_active, stats.connections_accepted), (1, 2));

@@ -26,8 +26,8 @@
 //! - **Admission & shedding** — accepts beyond
 //!   [`ReactorConfig::max_connections`] are answered with a best-effort
 //!   `BUSY` error frame and closed; well-framed decode requests that the
-//!   gateway refuses (full queue) are answered with `BUSY` instead of
-//!   decoding inline, because the loop must never block on a forward.
+//!   gateway refuses (full queue or shutdown) are answered with `BUSY`,
+//!   the overload policy both front ends share.
 //! - **Shutdown** — mirrors the threaded path's invariant: the gateway is
 //!   flushed, every parked job's reply is written out (bounded by
 //!   [`ReactorConfig::drain_grace`]), then sockets close.
@@ -698,7 +698,7 @@ mod linux {
     /// Parses one container and parks it in the gateway, reserving its
     /// ordered reply slot. Parse failures answer immediately with the
     /// container-level typed error; a refused submission (full queue or
-    /// shutdown) sheds with `BUSY` — the loop never decodes inline.
+    /// shutdown) sheds with `BUSY`.
     #[allow(clippy::too_many_arguments)]
     fn submit_container(
         conn: &mut Connection,
@@ -756,17 +756,10 @@ mod linux {
             },
         );
         if let Err((_, span, _)) = batcher.submit(encoded, engine, token, span, reply) {
-            // Load shed: the queue is saturated and the loop cannot decode
-            // inline without stalling every other connection. The refused
-            // span still rides the reply slot so shed requests trace too.
-            metrics.record_request_shed();
-            metrics.record_error(ErrorCode::Busy);
-            conn.replies.fill(
-                seq,
-                error_frame(ErrorCode::Busy, "decode queue is saturated, retry later".into()),
-                span,
-                false,
-            );
+            // Load shed, as on the threaded front end. The refused span
+            // still rides the reply slot so shed requests trace too.
+            let err = crate::server::shed_error(metrics);
+            conn.replies.fill(seq, error_frame(err.code, err.message), span, false);
         }
     }
 

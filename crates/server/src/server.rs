@@ -1,22 +1,27 @@
 //! The decode server: an accept loop handing each connection to a scoped
-//! handler thread, all sharing one [`EaszDecoder`] (and therefore one
-//! model zoo) behind the framing protocol of [`crate::protocol`].
+//! handler thread and every decode to the gateway, whose workers share one
+//! [`EaszDecoder`] (and therefore one model zoo), behind the framing
+//! protocol of [`crate::protocol`].
 
-use crate::batcher::{panic_message, Batcher, GatewayConfig, WorkerExit};
-use crate::fault;
+use crate::batcher::{Batcher, GatewayConfig, WorkerExit};
 use crate::metrics::{ServerMetrics, ServerStats};
 use crate::protocol::{self, EngineTier, ErrorCode, FrameReadError, WireError};
 use crate::reactor::{self, ReactorConfig};
 use crate::trace::{SpanCtx, TraceConfig, TraceStage, Tracer};
 use easz_codecs::CodecRegistry;
-use easz_core::{DecodeEngine, EaszDecoder, EaszEncoded, EaszError, Reconstructor};
+use easz_core::{EaszDecoder, EaszEncoded, EaszError, Reconstructor};
 use easz_image::ImageF32;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How long shutdown lets handler threads write the replies they still owe
+/// before hard-closing their sockets (the reactor's default drain grace).
+const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
 /// Registry of live connection sockets so shutdown can unblock handler
 /// threads stuck in a read — a blocked `recv` only returns once its socket
@@ -42,10 +47,11 @@ impl Connections {
         self.streams.lock().expect("connection registry poisoned").retain(|(i, _)| *i != id);
     }
 
-    /// Shuts every registered socket down, waking blocked reads with EOF.
-    fn shutdown_all(&self) {
+    /// Shuts every registered socket down in direction `how`; either
+    /// direction wakes blocked reads with EOF.
+    fn shutdown_all(&self, how: Shutdown) {
         for (_, stream) in self.streams.lock().expect("connection registry poisoned").iter() {
-            let _ = stream.shutdown(Shutdown::Both);
+            let _ = stream.shutdown(how);
         }
     }
 }
@@ -63,17 +69,17 @@ pub struct ServerConfig {
     /// indefinitely (a zero `Duration` is invalid for the OS socket
     /// timeout, so it is normalised to "no timeout" rather than erroring).
     pub read_timeout: Option<Duration>,
-    /// The cross-connection decode gateway. `None` (the default) decodes
-    /// each request on its own connection thread; `Some` parks requests in
-    /// a batching window so concurrent connections share transformer
-    /// forwards (see [`GatewayConfig`]).
-    pub gateway: Option<GatewayConfig>,
+    /// The cross-connection decode gateway, the only path to the decoder
+    /// on both front ends: requests from every connection are parked in
+    /// batching windows so concurrent connections share transformer
+    /// forwards (see [`GatewayConfig`]; the default adapts its windows to
+    /// the arrival rate). A request the gateway refuses (full queue or
+    /// shutdown) is answered with the typed `BUSY` error.
+    pub gateway: GatewayConfig,
     /// The event-driven reactor front end. `None` (the default) serves
     /// each connection on its own blocking handler thread; `Some` runs one
     /// epoll readiness loop over nonblocking sockets instead (see
-    /// [`ReactorConfig`]). The reactor always decodes through the gateway:
-    /// when no gateway is configured alongside it, a default one (with
-    /// adaptive batching windows) is used.
+    /// [`ReactorConfig`]).
     pub reactor: Option<ReactorConfig>,
     /// Request tracing. `None` (the default) captures no spans — request
     /// structs carry no trace context and the instrumented sites reduce to
@@ -90,7 +96,7 @@ impl Default for ServerConfig {
             max_frame_len: 16 << 20,
             max_batch: 64,
             read_timeout: None,
-            gateway: None,
+            gateway: GatewayConfig::default(),
             reactor: None,
             trace: None,
         }
@@ -100,9 +106,9 @@ impl Default for ServerConfig {
 /// A batched `.easz` decode server over TCP.
 ///
 /// One model zoo serves every connection: handler threads run under
-/// [`std::thread::scope`] and share a single [`EaszDecoder`], so a
-/// `DECODE_BATCH` request turns into [`EaszDecoder::decode_batch`] — one
-/// transformer forward per shared-mask group rather than one per stream.
+/// [`std::thread::scope`] and hand every container to the decode gateway,
+/// whose workers share a single [`EaszDecoder`] — one transformer forward
+/// per fusable group of a batching window rather than one per stream.
 /// The generic model answers containers carrying model id 0 (including
 /// every pre-zoo container); [`with_model`](Self::with_model) mounts
 /// fine-tuned models under nonzero ids, and a container naming an
@@ -187,15 +193,14 @@ impl EaszServer {
         self
     }
 
-    /// Enables the cross-connection decode gateway: requests from every
+    /// Replaces the decode gateway's tunables. Requests from every
     /// connection are parked into batching windows (closed on
-    /// [`max_batch`](GatewayConfig::max_batch) or
-    /// [`max_wait_us`](GatewayConfig::max_wait_us)) and decoded by a shared
-    /// worker pool, so concurrent clients share transformer forwards even
-    /// when their mask seeds differ. Replies are byte-identical to
-    /// ungatewayed decoding.
+    /// [`max_batch`](GatewayConfig::max_batch) or the window's wait budget)
+    /// and decoded by a shared worker pool, so concurrent clients share
+    /// transformer forwards even when their mask seeds differ. Replies are
+    /// byte-identical to local serial decoding.
     pub fn with_gateway(mut self, gateway: GatewayConfig) -> Self {
-        self.config.gateway = Some(gateway);
+        self.config.gateway = gateway;
         self
     }
 
@@ -203,9 +208,9 @@ impl EaszServer {
     /// loop over nonblocking sockets replaces the thread-per-connection
     /// accept loop, scaling in connections instead of threads and adding
     /// admission control (`BUSY` beyond
-    /// [`max_connections`](ReactorConfig::max_connections)) and load
-    /// shedding (`BUSY` instead of inline decode when the gateway queue
-    /// saturates). Decode replies stay byte-identical to the threaded
+    /// [`max_connections`](ReactorConfig::max_connections)). Decodes go
+    /// through the same gateway, with the same `BUSY` shedding when its
+    /// queue saturates, and replies stay byte-identical to the threaded
     /// path. Linux-only; serving fails with
     /// [`io::ErrorKind::Unsupported`] elsewhere.
     pub fn with_reactor(mut self, reactor: ReactorConfig) -> Self {
@@ -217,9 +222,9 @@ impl EaszServer {
     /// span stamping its pipeline milestones, every `sample_every`-th span
     /// (plus every request slower than `slow_threshold_us`, always) is
     /// kept in a fixed-size ring, and decode-stage hooks are installed on
-    /// the shared decoder. Drain the spans with [`EaszClient::trace`]
-    /// (crate::EaszClient::trace) or the `easz-top` inspector. Replies
-    /// stay byte-identical with tracing on or off.
+    /// the shared decoder. Drain the spans with
+    /// [`EaszClient::trace`](crate::EaszClient::trace) or the `easz-top`
+    /// inspector. Replies stay byte-identical with tracing on or off.
     pub fn with_trace(mut self, trace: TraceConfig) -> Self {
         self.config.trace = Some(trace);
         self
@@ -294,35 +299,23 @@ impl EaszServer {
         }
         let tracer = tracer.as_deref();
         let decoder = decoder;
-        // The reactor's event loop must never block on a forward, so it
-        // always decodes through a gateway — a default one (with adaptive
-        // windows, since the reactor targets bursty fleet traffic) when
-        // the embedder configured none.
-        let gateway = match (&config.reactor, config.gateway.clone()) {
-            (Some(_), None) => Some(GatewayConfig { adaptive_wait: true, ..Default::default() }),
-            (_, gateway) => gateway,
-        };
-        let batcher = gateway.clone().map(|g| Batcher::new(g, metrics.clone()));
+        let batcher = Batcher::new(config.gateway.clone(), metrics.clone());
         std::thread::scope(|scope| {
             // The gateway threads live inside the connection scope so they
             // can borrow the shared decoder; they exit when `shutdown()`
             // below flushes the queue.
-            if let Some(batcher) = &batcher {
-                let workers = gateway.as_ref().expect("gateway config present").workers;
-                scope.spawn(|| batcher.run_scheduler());
-                for _ in 0..workers {
-                    let decoder = &decoder;
-                    let metrics = &metrics;
-                    // Supervisor loop: a worker poisoned by a caught decode
-                    // panic is respawned in place (same thread, fresh
-                    // `run_worker`), so the pool never shrinks under faults.
-                    scope.spawn(move || loop {
-                        match batcher.run_worker(decoder) {
-                            WorkerExit::Shutdown => break,
-                            WorkerExit::Poisoned => metrics.record_worker_respawn(),
-                        }
-                    });
-                }
+            scope.spawn(|| batcher.run_scheduler());
+            for _ in 0..config.gateway.workers {
+                let (batcher, decoder, metrics) = (&batcher, &decoder, &metrics);
+                // Supervisor loop: a worker poisoned by a caught decode
+                // panic is respawned in place (same thread, fresh
+                // `run_worker`), so the pool never shrinks under faults.
+                scope.spawn(move || loop {
+                    match batcher.run_worker(decoder) {
+                        WorkerExit::Shutdown => break,
+                        WorkerExit::Poisoned => metrics.record_worker_respawn(),
+                    }
+                });
             }
             let result = if let Some(reactor_config) = &config.reactor {
                 reactor::run(
@@ -331,7 +324,7 @@ impl EaszServer {
                     &config,
                     reactor_config,
                     &metrics,
-                    batcher.as_ref().expect("the reactor always runs with a gateway"),
+                    &batcher,
                     tracer,
                 )
             } else {
@@ -348,10 +341,9 @@ impl EaszServer {
                         break Ok(());
                     }
                     let ctx = ConnCtx {
-                        decoder: &decoder,
                         config: &config,
                         metrics: &metrics,
-                        batcher: batcher.as_ref(),
+                        batcher: &batcher,
                         tracer,
                         source: 0,
                     };
@@ -384,9 +376,7 @@ impl EaszServer {
             // flushes parked jobs into final windows, workers drain them
             // (so draining connections still get replies), then all gateway
             // threads exit.
-            if let Some(batcher) = &batcher {
-                batcher.shutdown();
-            }
+            batcher.shutdown();
             result
         })
     }
@@ -396,10 +386,9 @@ impl EaszServer {
 /// stay readable.
 #[derive(Clone, Copy)]
 struct ConnCtx<'a> {
-    decoder: &'a EaszDecoder<'a>,
     config: &'a ServerConfig,
     metrics: &'a ServerMetrics,
-    batcher: Option<&'a Batcher>,
+    batcher: &'a Batcher,
     /// The request tracer, when tracing is enabled.
     tracer: Option<&'a Tracer>,
     /// This connection's gateway fairness source id.
@@ -409,6 +398,17 @@ struct ConnCtx<'a> {
 /// What a gateway-parked request's channel carries back: the result plus
 /// the request's trace span (stamped through the queue milestones).
 type GatewayReply = (Result<ImageF32, EaszError>, Option<SpanCtx>);
+
+/// One container's place in a connection's reply order.
+enum Slot {
+    /// The container did not parse; answered with its typed error.
+    ParseError(EaszError),
+    /// Parked in the gateway; the result arrives on this channel.
+    Pending(Receiver<GatewayReply>),
+    /// Refused by the gateway (full queue or shutdown): shed, and answered
+    /// with this `BUSY` error.
+    Shed(WireError, Option<SpanCtx>),
+}
 
 impl ConnCtx<'_> {
     /// Opens a trace span for a freshly read request frame (`None` when
@@ -422,104 +422,35 @@ impl ConnCtx<'_> {
         })
     }
 
-    /// Parks `encoded` in the gateway with a channel-backed reply, so this
-    /// handler thread can block on the receiver.
-    fn submit_gateway(
-        &self,
-        batcher: &Batcher,
-        encoded: EaszEncoded,
-        engine: DecodeEngine,
-        span: Option<SpanCtx>,
-    ) -> Result<std::sync::mpsc::Receiver<GatewayReply>, Box<(EaszEncoded, Option<SpanCtx>)>> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        batcher
-            .submit(
-                encoded,
-                engine,
-                self.source,
-                span,
-                Box::new(move |result, span| {
-                    let _ = tx.send((result, span));
-                }),
-            )
-            .map(|()| rx)
-            .map_err(|(back, span, _)| Box::new((back, span)))
-    }
-
-    /// Decodes one parsed container on `engine` — through the gateway when
-    /// enabled and willing, inline otherwise. `Err(())` means the gateway
-    /// accepted the job but shut down before answering; the connection
-    /// should close.
-    fn decode(
-        &self,
-        encoded: EaszEncoded,
-        engine: DecodeEngine,
-        span: Option<SpanCtx>,
-    ) -> Result<GatewayReply, ()> {
-        if let Some(batcher) = self.batcher {
-            match self.submit_gateway(batcher, encoded, engine, span) {
-                Ok(rx) => return rx.recv().map_err(|_| ()),
-                Err(refused) => {
-                    // Full queue or shutdown: degrade to inline decode.
-                    let (back, span) = *refused;
-                    self.metrics.record_inline_decode();
-                    return Ok(self.decode_inline(&back, engine, span));
-                }
-            }
+    /// Parses one container and parks it in the gateway with a
+    /// channel-backed reply, so this handler thread can block on the
+    /// receiver. `tier`, when present, overrides the container's standing
+    /// engine preference.
+    fn submit(&self, container: &[u8], tier: Option<EngineTier>, frame_type: u8) -> Slot {
+        let encoded = match EaszEncoded::from_bytes(container) {
+            Ok(encoded) => encoded,
+            Err(e) => return Slot::ParseError(e),
+        };
+        let engine = tier.map_or_else(|| encoded.preferred_engine(), EngineTier::engine);
+        let (tx, rx) = mpsc::channel();
+        let reply = Box::new(move |result, span| {
+            let _ = tx.send((result, span));
+        });
+        match self.batcher.submit(encoded, engine, self.source, self.begin_span(frame_type), reply)
+        {
+            Ok(()) => Slot::Pending(rx),
+            Err((_, span, _)) => Slot::Shed(shed_error(self.metrics), span),
         }
-        self.metrics.record_inline_decode();
-        Ok(self.decode_inline(&encoded, engine, span))
-    }
-
-    /// Inline decode on this handler thread, with the decode milestones
-    /// stamped and the decode-time histogram fed.
-    fn decode_inline(
-        &self,
-        encoded: &EaszEncoded,
-        engine: DecodeEngine,
-        mut span: Option<SpanCtx>,
-    ) -> GatewayReply {
-        if let Some(span) = &mut span {
-            span.stamp(TraceStage::DecodeStart);
-        }
-        let started = Instant::now();
-        let result = decode_isolated(self.decoder, self.metrics, encoded, engine);
-        self.metrics.record_decode_sample(started.elapsed().as_micros() as u64);
-        if let Some(span) = &mut span {
-            span.stamp(TraceStage::DecodeEnd);
-        }
-        (result, span)
     }
 }
 
-/// Runs one inline decode under the same isolation boundary as the gateway
-/// workers: the fault hooks (injected stalls and panics) apply, and a
-/// panicking container fails *its own* request with a typed
-/// [`EaszError::Internal`] instead of unwinding through the handler thread
-/// and killing the connection.
-fn decode_isolated(
-    decoder: &EaszDecoder<'_>,
-    metrics: &ServerMetrics,
-    encoded: &EaszEncoded,
-    engine: DecodeEngine,
-) -> Result<ImageF32, EaszError> {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    if let Some(delay) = fault::decode_delay() {
-        std::thread::sleep(delay);
-    }
-    let injected = fault::decode_panic();
-    match catch_unwind(AssertUnwindSafe(|| {
-        if injected {
-            panic!("{}", fault::INJECTED_PANIC);
-        }
-        decoder.decode_as(encoded, engine)
-    })) {
-        Ok(result) => result,
-        Err(payload) => {
-            metrics.record_panic_caught();
-            Err(EaszError::Internal(panic_message(payload)))
-        }
-    }
+/// The overload policy of both front ends: a decode the gateway refuses
+/// (full queue or shutdown) is counted as shed and answered with the typed
+/// `BUSY` error, which [`RetryPolicy`](crate::RetryPolicy) retries.
+pub(crate) fn shed_error(metrics: &ServerMetrics) -> WireError {
+    metrics.record_request_shed();
+    metrics.record_error(ErrorCode::Busy);
+    WireError { code: ErrorCode::Busy, message: "decode queue is saturated, retry later".into() }
 }
 
 /// Handle to a server running on a background thread (see
@@ -550,24 +481,37 @@ impl ServerHandle {
         &self.metrics
     }
 
-    fn signal(&self) {
+    /// Signals shutdown and joins the server thread.
+    fn stop(&mut self) -> Option<std::thread::Result<io::Result<()>>> {
+        let thread = self.thread.take()?;
         self.shutdown.store(true, Ordering::Release);
-        // Unblock handler threads stuck mid-read (idle keep-alive clients
-        // would otherwise pin the scope join forever), then wake the
+        // Stop reading: handler threads stuck mid-read (idle keep-alive
+        // clients would otherwise pin the scope join forever) wake with
+        // EOF, while replies they still owe — parked jobs the gateway
+        // flushes on shutdown — can still be written. Then wake the
         // blocking accept; a connect error just means it is already dead.
-        self.connections.shutdown_all();
+        self.connections.shutdown_all(Shutdown::Read);
         let _ = TcpStream::connect(self.addr);
+        // A handler blocked writing to a peer that stopped reading would
+        // pin the join forever: past the grace, close sockets outright.
+        let deadline = Instant::now() + DRAIN_GRACE;
+        while !thread.is_finished() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        if !thread.is_finished() {
+            self.connections.shutdown_all(Shutdown::Both);
+        }
+        Some(thread.join())
     }
 
-    /// Stops accepting, drains in-flight connections and returns the accept
-    /// loop's exit status.
+    /// Stops accepting, drains in-flight connections (every parked decode
+    /// is answered) and returns the accept loop's exit status.
     ///
     /// # Errors
     ///
     /// The accept loop's fatal error, if it died before shutdown.
     pub fn shutdown(mut self) -> io::Result<()> {
-        self.signal();
-        match self.thread.take().expect("thread present until shutdown/drop").join() {
+        match self.stop().expect("thread present until shutdown/drop") {
             Ok(result) => result,
             Err(_) => Err(io::Error::other("server thread panicked")),
         }
@@ -576,10 +520,7 @@ impl ServerHandle {
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        if let Some(thread) = self.thread.take() {
-            self.signal();
-            let _ = thread.join();
-        }
+        let _ = self.stop();
     }
 }
 
@@ -640,20 +581,7 @@ fn handle_connection(mut stream: TcpStream, ctx: &ConnCtx<'_>) -> io::Result<()>
                     (None, payload.as_slice())
                 };
                 metrics.record_requests(1);
-                let (result, span) = match EaszEncoded::from_bytes(container) {
-                    Err(e) => (Err(e), ctx.begin_span(frame_type)),
-                    // A gateway recv failure means shutdown beat the reply;
-                    // the connection is closing anyway.
-                    Ok(encoded) => {
-                        let engine =
-                            tier.map_or_else(|| encoded.preferred_engine(), EngineTier::engine);
-                        match ctx.decode(encoded, engine, ctx.begin_span(frame_type)) {
-                            Ok(reply) => reply,
-                            Err(()) => return Ok(()),
-                        }
-                    }
-                };
-                write_traced_reply(&mut stream, ctx, result, span, received)?;
+                decode_and_reply(&mut stream, ctx, &[container], tier, frame_type, received)?;
             }
             protocol::DECODE_BATCH | protocol::DECODE_BATCH_TIERED => {
                 let (tier, batch_payload) = if frame_type == protocol::DECODE_BATCH_TIERED {
@@ -673,7 +601,7 @@ fn handle_connection(mut stream: TcpStream, ctx: &ConnCtx<'_>) -> io::Result<()>
                     }
                     Ok(containers) => {
                         metrics.record_requests(containers.len() as u64);
-                        handle_decode_batch(
+                        decode_and_reply(
                             &mut stream,
                             ctx,
                             &containers,
@@ -737,17 +665,6 @@ fn handle_connection(mut stream: TcpStream, ctx: &ConnCtx<'_>) -> io::Result<()>
     }
 }
 
-/// A batch reply slot: what the i-th container is waiting on.
-enum BatchSlot {
-    /// The container did not parse; answered with its typed error.
-    ParseError(EaszError),
-    /// Result already in hand (ungatewayed bulk decode, or inline
-    /// fallback), with the member's trace span.
-    Done(Result<ImageF32, EaszError>, Option<SpanCtx>),
-    /// Parked in the gateway; the result arrives on this channel.
-    Pending(std::sync::mpsc::Receiver<GatewayReply>),
-}
-
 /// Splits the leading engine-tier byte off a tiered request payload
 /// (shared with the reactor's frame dispatcher).
 ///
@@ -763,16 +680,19 @@ pub(crate) fn split_tier(payload: &[u8]) -> Result<(Option<EngineTier>, &[u8]), 
     Ok((Some(tier), rest))
 }
 
-/// Decodes a `DECODE_BATCH`/`DECODE_BATCH_TIERED` request and replies
-/// strictly in request order. `tier`, when present, overrides every
-/// container's standing engine preference.
+/// Submits every container of a decode request to the gateway, one job
+/// per container, then replies strictly in request order. `tier`, when
+/// present, overrides every container's standing engine preference. Each
+/// parsed container gets its own trace span — a batch frame is one wire
+/// frame but many requests — and may share a window with requests from
+/// other connections (though never across engine tiers).
 ///
-/// Without a gateway the parsed containers go through one bulk
-/// [`EaszDecoder::decode_batch_with`] exactly as before; with a gateway
-/// each container is parked individually, so a window can fuse them with
-/// requests from *other* connections too (though never across engine
-/// tiers).
-fn handle_decode_batch(
+/// # Errors
+///
+/// Reply-write failures, and `ConnectionAborted` when the gateway dropped
+/// a parked job (shutdown beat the reply): either way the connection
+/// closes.
+fn decode_and_reply(
     stream: &mut TcpStream,
     ctx: &ConnCtx<'_>,
     containers: &[&[u8]],
@@ -780,148 +700,34 @@ fn handle_decode_batch(
     frame_type: u8,
     received: Instant,
 ) -> io::Result<()> {
-    let engine_for =
-        |encoded: &EaszEncoded| tier.map_or_else(|| encoded.preferred_engine(), EngineTier::engine);
-    // Parse every container first so decodable streams share batched
-    // forwards regardless of corrupt neighbours. Each parsed member gets
-    // its own trace span — a batch frame is one wire frame but many
-    // requests.
-    let mut slots: Vec<BatchSlot> = Vec::with_capacity(containers.len());
-    if let Some(batcher) = ctx.batcher {
-        for container in containers {
-            slots.push(match EaszEncoded::from_bytes(container) {
-                Err(e) => BatchSlot::ParseError(e),
-                Ok(encoded) => {
-                    let engine = engine_for(&encoded);
-                    let span = ctx.begin_span(frame_type);
-                    match ctx.submit_gateway(batcher, encoded, engine, span) {
-                        Ok(rx) => BatchSlot::Pending(rx),
-                        Err(refused) => {
-                            let (back, span) = *refused;
-                            ctx.metrics.record_inline_decode();
-                            let (result, span) = ctx.decode_inline(&back, engine, span);
-                            BatchSlot::Done(result, span)
-                        }
-                    }
-                }
-            });
-        }
-    } else {
-        let mut statuses: Vec<Result<(), EaszError>> = Vec::with_capacity(containers.len());
-        let mut good: Vec<EaszEncoded> = Vec::with_capacity(containers.len());
-        let mut engines: Vec<DecodeEngine> = Vec::with_capacity(containers.len());
-        for container in containers {
-            match EaszEncoded::from_bytes(container) {
-                Ok(encoded) => {
-                    engines.push(engine_for(&encoded));
-                    good.push(encoded);
-                    statuses.push(Ok(()));
-                }
-                Err(e) => statuses.push(Err(e)),
-            }
-        }
-        let mut spans: Vec<Option<SpanCtx>> =
-            good.iter().map(|_| ctx.begin_span(frame_type)).collect();
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        if let Some(delay) = fault::decode_delay() {
-            std::thread::sleep(delay);
-        }
-        // Fault flags are drawn per container *before* the fused attempt so
-        // the serial fallback re-fires the same panics: only the culprit
-        // containers fail, their batchmates decode byte-identically.
-        let injected: Vec<bool> = good.iter().map(|_| fault::decode_panic()).collect();
-        for span in spans.iter_mut().flatten() {
-            span.stamp(TraceStage::DecodeStart);
-        }
-        let started = std::time::Instant::now();
-        let fused_attempt = catch_unwind(AssertUnwindSafe(|| {
-            if injected.contains(&true) {
-                panic!("{}", fault::INJECTED_PANIC);
-            }
-            ctx.decoder.decode_batch_with_stats(&good, &engines)
-        }));
-        let fused_us = started.elapsed().as_micros() as u64;
-        for span in spans.iter_mut().flatten() {
-            span.stamp(TraceStage::DecodeEnd);
-        }
-        for _ in 0..good.len() {
-            ctx.metrics.record_decode_sample(fused_us);
-        }
-        let decoded: Vec<Result<ImageF32, EaszError>> = match fused_attempt {
-            Ok((decoded, groups)) => {
-                let decode_us = started.elapsed().as_micros() as u64;
-                // One histogram entry per fused forward group, with the wall
-                // time apportioned by group width (the remainder lands on the
-                // last group so the totals stay exact) — same accounting as
-                // the gateway's decode windows.
-                let fused: usize = groups.iter().map(|&(_, width)| width).sum();
-                let mut spent = 0u64;
-                for (gi, &(_, width)) in groups.iter().enumerate() {
-                    let us = if gi + 1 == groups.len() {
-                        decode_us - spent
-                    } else {
-                        decode_us * width as u64 / fused as u64
-                    };
-                    spent += us;
-                    ctx.metrics.record_batch(width, us);
-                }
-                decoded
-            }
-            Err(_) => {
-                // The fused forward panicked: isolate per container so only
-                // the culprit fails with a typed INTERNAL.
-                ctx.metrics.record_panic_caught();
-                good.iter()
-                    .zip(&engines)
-                    .enumerate()
-                    .map(|(i, (encoded, &engine))| {
-                        let started = std::time::Instant::now();
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            if injected[i] {
-                                panic!("{}", fault::INJECTED_PANIC);
-                            }
-                            ctx.decoder.decode_as(encoded, engine)
-                        })) {
-                            Ok(result) => {
-                                if result.is_ok() {
-                                    ctx.metrics
-                                        .record_batch(1, started.elapsed().as_micros() as u64);
-                                }
-                                result
-                            }
-                            Err(payload) => {
-                                ctx.metrics.record_panic_caught();
-                                Err(EaszError::Internal(panic_message(payload)))
-                            }
-                        }
-                    })
-                    .collect()
-            }
-        };
-        let mut decoded = decoded.into_iter().zip(spans);
-        for status in statuses {
-            slots.push(match status {
-                Ok(()) => {
-                    let (result, span) = decoded.next().expect("one decode per parsed container");
-                    BatchSlot::Done(result, span)
-                }
-                Err(e) => BatchSlot::ParseError(e),
-            });
-        }
-    }
+    // Park everything before waiting on anything, so the request's
+    // containers can share windows with each other.
+    let slots: Vec<Slot> = containers.iter().map(|c| ctx.submit(c, tier, frame_type)).collect();
     for slot in slots {
-        let (result, span) = match slot {
-            BatchSlot::ParseError(e) => (Err(e), None),
-            BatchSlot::Done(result, span) => (result, span),
-            BatchSlot::Pending(rx) => match rx.recv() {
-                Ok(reply) => reply,
-                // Gateway shutdown dropped the job; close the connection.
-                Err(_) => return Ok(()),
+        let (reply, span) = match slot {
+            Slot::ParseError(e) => (decode_outcome(Err(e), ctx.metrics), None),
+            Slot::Pending(rx) => match rx.recv() {
+                Ok((result, span)) => (decode_outcome(result, ctx.metrics), span),
+                Err(_) => return Err(io::ErrorKind::ConnectionAborted.into()),
             },
+            Slot::Shed(err, span) => (Err(err), span),
         };
-        write_traced_reply(stream, ctx, result, span, received)?;
+        write_traced_reply(stream, ctx, reply, span, received)?;
     }
     Ok(())
+}
+
+/// Counts one decode outcome and turns its error into the wire form.
+fn decode_outcome(
+    result: Result<ImageF32, EaszError>,
+    metrics: &ServerMetrics,
+) -> Result<ImageF32, WireError> {
+    metrics.record_decode(result.is_ok());
+    result.map_err(|e| {
+        let err = WireError::from_easz(&e);
+        metrics.record_error(err.code);
+        err
+    })
 }
 
 /// Reads and discards up to `limit` pending bytes so closing the socket
@@ -953,39 +759,26 @@ fn drain_bounded(stream: &mut TcpStream, limit: usize) {
 fn write_traced_reply(
     stream: &mut TcpStream,
     ctx: &ConnCtx<'_>,
-    result: Result<ImageF32, EaszError>,
+    reply: Result<ImageF32, WireError>,
     mut span: Option<SpanCtx>,
     received: Instant,
 ) -> io::Result<()> {
     if let Some(span) = &mut span {
         span.stamp(TraceStage::ReplyQueued);
     }
-    let ok = result.is_ok();
-    let written = send_decode_result(stream, result, ctx.metrics);
+    let ok = reply.is_ok();
+    let written = match reply {
+        Ok(image) => {
+            protocol::write_frame(stream, protocol::IMAGE, &protocol::encode_image(&image.to_u8()))
+        }
+        Err(err) => protocol::write_frame(stream, protocol::ERROR, &err.to_payload()),
+    };
     ctx.metrics.record_service(received.elapsed().as_micros() as u64);
     if let (Some(tracer), Some(mut span)) = (ctx.tracer, span) {
         span.stamp(TraceStage::ReplyWritten);
         tracer.finish(span, ok && written.is_ok());
     }
     written
-}
-
-fn send_decode_result(
-    stream: &mut TcpStream,
-    result: Result<ImageF32, EaszError>,
-    metrics: &ServerMetrics,
-) -> io::Result<()> {
-    metrics.record_decode(result.is_ok());
-    match result {
-        Ok(image) => {
-            protocol::write_frame(stream, protocol::IMAGE, &protocol::encode_image(&image.to_u8()))
-        }
-        Err(e) => {
-            let err = WireError::from_easz(&e);
-            metrics.record_error(err.code);
-            protocol::write_frame(stream, protocol::ERROR, &err.to_payload())
-        }
-    }
 }
 
 /// Writes one typed error frame, counting it in the metrics registry.

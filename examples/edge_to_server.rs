@@ -1,7 +1,7 @@
 //! The paper's deployment story over a real (loopback) socket: model-free
 //! edge encoders streaming `.easz` containers to an `easz-server` that
-//! batches the transformer reconstruction across streams — here with the
-//! **cross-connection decode gateway** enabled, so concurrent clients with
+//! batches the transformer reconstruction across streams through its
+//! **cross-connection decode gateway**, so concurrent clients with
 //! *distinct mask seeds* (the realistic mixed fleet) still share fused
 //! transformer forwards.
 //!
@@ -33,7 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The server half: normally another machine; here a loopback port.
     // The gateway parks requests from every connection into batching
-    // windows (up to 4 requests or 20 ms) decoded by a shared worker pool.
+    // windows (up to 4 requests, waiting at most 20 ms) decoded by a
+    // shared worker pool.
     let gateway =
         GatewayConfig { max_batch: 4, max_wait_us: 20_000, workers: 2, ..Default::default() };
     let mut server = EaszServer::new(model.clone()).with_gateway(gateway);
@@ -110,8 +111,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("all gateway replies byte-identical to local serial decode");
 
-    // One DECODE_BATCH frame still works with the gateway on (each entry
-    // is parked individually, so it can fuse with other connections too).
+    // A DECODE_BATCH frame goes through the same gateway: each entry is
+    // parked individually, so it can fuse with other connections too.
     let batch: Vec<&[u8]> = wires.iter().map(Vec::as_slice).collect();
     let results = client.decode_batch(&batch)?;
     for (i, result) in results.iter().enumerate() {

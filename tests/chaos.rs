@@ -53,22 +53,18 @@ fn local_references(model: &Arc<Reconstructor>, wires: &[Vec<u8>]) -> Vec<ImageU
     wires.iter().map(|w| local.decode_bytes(w).expect("local decode").to_u8()).collect()
 }
 
-/// The serving topologies under chaos. `ThreadedInline` (no gateway)
-/// exists to drive the handler-thread isolation boundary rather than the
-/// worker-pool one.
+/// The front ends under chaos; both decode through the same gateway.
 #[derive(Clone, Copy, Debug)]
 enum Front {
-    ThreadedGateway,
+    Threaded,
     Reactor,
-    ThreadedInline,
 }
 
 fn spawn(front: Front, model: &Arc<Reconstructor>, gateway: GatewayConfig) -> ServerHandle {
-    let server = EaszServer::new(model.clone());
+    let server = EaszServer::new(model.clone()).with_gateway(gateway);
     match front {
-        Front::ThreadedGateway => server.with_gateway(gateway),
-        Front::Reactor => server.with_gateway(gateway).with_reactor(ReactorConfig::default()),
-        Front::ThreadedInline => server,
+        Front::Threaded => server,
+        Front::Reactor => server.with_reactor(ReactorConfig::default()),
     }
     .spawn("127.0.0.1:0")
     .expect("spawn server")
@@ -235,7 +231,7 @@ fn chaos_soak_holds_the_failure_model_on_both_front_ends() {
     let mut total = FaultCounters::default();
     let mut successes = 0usize;
     for seed in 0..8u64 {
-        for front in [Front::Reactor, Front::ThreadedGateway] {
+        for front in [Front::Reactor, Front::Threaded] {
             let (counters, ok) = run_schedule(seed, front, &model, &wires, &references);
             successes += ok;
             total = FaultCounters {
@@ -268,7 +264,7 @@ fn a_forced_decode_panic_fails_one_request_and_the_pool_recovers() {
     let model = model();
     let wires = fleet_containers(&[31, 32]);
     let references = local_references(&model, &wires);
-    for front in [Front::ThreadedGateway, Front::Reactor, Front::ThreadedInline] {
+    for front in [Front::Threaded, Front::Reactor] {
         let _guard = fault::install(FaultPlan { decode_panic_oneshot: 1, ..FaultPlan::default() });
         let gateway = GatewayConfig {
             max_batch: 4,
@@ -292,8 +288,8 @@ fn a_forced_decode_panic_fails_one_request_and_the_pool_recovers() {
             other => panic!("{front:?}: expected INTERNAL, got {other:?}"),
         }
 
-        // Same connection, post-panic: the worker was respawned (or the
-        // handler survived), and replies are byte-identical again.
+        // Same connection, post-panic: the worker was respawned, and
+        // replies are byte-identical again.
         for (i, wire) in wires.iter().enumerate() {
             let img = client.decode(wire).unwrap_or_else(|e| {
                 panic!("{front:?}: decode {i} after the panic must succeed: {e}")
@@ -304,12 +300,7 @@ fn a_forced_decode_panic_fails_one_request_and_the_pool_recovers() {
         let stats = client.stats().expect("stats");
         assert!(stats.panics_caught >= 1, "{front:?}: {stats:?}");
         assert_eq!(stats.error_count(ErrorCode::Internal), 1, "{front:?}");
-        match front {
-            Front::ThreadedInline => {
-                assert_eq!(stats.worker_respawns, 0, "{front:?}: no pool, no respawn")
-            }
-            _ => assert_eq!(stats.worker_respawns, 1, "{front:?}: one poisoning, one respawn"),
-        }
+        assert_eq!(stats.worker_respawns, 1, "{front:?}: one poisoning, one respawn");
         reconcile(&stats, &format!("{front:?}"));
         drop(client);
         handle.shutdown().expect("shutdown");
@@ -321,7 +312,7 @@ fn a_stalled_worker_expires_queued_deadlines_instead_of_parking_handlers() {
     let model = model();
     let wires = fleet_containers(&[41]);
     let references = local_references(&model, &wires);
-    for front in [Front::ThreadedGateway, Front::Reactor] {
+    for front in [Front::Threaded, Front::Reactor] {
         let _guard = fault::install(FaultPlan {
             decode_delay_oneshot: 1,
             decode_delay_us: 1_500_000,
@@ -454,7 +445,7 @@ fn mutated_container_replay_stays_typed_and_the_connection_survives() {
     let model = model();
     let wires = fleet_containers(&[51, 52, 53]);
     let references = local_references(&model, &wires);
-    for front in [Front::ThreadedGateway, Front::Reactor] {
+    for front in [Front::Threaded, Front::Reactor] {
         // A neutral plan injects nothing but holds the fault serialization
         // lock, so a concurrently running chaos test cannot leak injected
         // faults into this sweep's accounting.

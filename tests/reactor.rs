@@ -147,8 +147,13 @@ fn reactor_routes_zoo_models_exactly_and_never_fuses_across_ids() {
         "zoo models must reconstruct differently for this test to mean anything"
     );
 
-    let gateway =
-        GatewayConfig { max_batch: 4, max_wait_us: 50_000, workers: 2, ..Default::default() };
+    let gateway = GatewayConfig {
+        max_batch: 4,
+        max_wait_us: 50_000,
+        workers: 2,
+        adaptive_wait: false,
+        ..Default::default()
+    };
     let mut server = EaszServer::new(generic.clone())
         .with_gateway(gateway)
         .with_reactor(ReactorConfig::default());
@@ -447,8 +452,13 @@ fn reactor_shutdown_delivers_replies_to_parked_connections() {
     let model = model();
     let wires = fleet_containers(&[31, 32, 33]);
     let references = local_references(&model, &wires);
-    let gateway =
-        GatewayConfig { max_batch: 8, max_wait_us: 2_000_000, workers: 1, ..Default::default() };
+    let gateway = GatewayConfig {
+        max_batch: 8,
+        max_wait_us: 2_000_000,
+        workers: 1,
+        adaptive_wait: false,
+        ..Default::default()
+    };
     let server =
         EaszServer::new(model).with_gateway(gateway).with_reactor(ReactorConfig::default());
     let metrics = server.metrics();

@@ -46,6 +46,11 @@ fn single_decode_matches_local_decode_bit_for_bit() {
     let remote = client.decode(wire).expect("remote decode");
     let local = EaszDecoder::new(&model).decode_bytes(wire).expect("local decode").to_u8();
     assert_eq!(remote.data(), local.data(), "server must reproduce the local decode exactly");
+    // The default server decodes through the gateway's windows too.
+    let stats = handle.metrics().snapshot();
+    assert!(stats.batches_dispatched >= 1, "the decode must dispatch through a window");
+    assert!(stats.queue_wait_percentile_us(0.50) > 0, "the job must have queued: {stats:?}");
+    assert_eq!(stats.inline_decodes, 0);
     drop(client);
     handle.shutdown().expect("clean shutdown");
 }
@@ -279,11 +284,12 @@ fn gateway_fuses_concurrent_mixed_mask_clients_byte_identically() {
     });
 
     // The gateway must have actually batched: all 12 decodes succeeded and
-    // were dispatched through windows (not the inline fallback, whose
-    // queue never filled here).
+    // were dispatched through windows (none shed: the queue never filled
+    // here).
     let stats = handle.metrics().snapshot();
     assert_eq!(stats.decode_ok, 12, "every request must decode");
     assert_eq!(stats.decode_requests, 12);
+    assert_eq!(stats.requests_shed, 0);
     assert!(stats.batches_dispatched >= 1, "windows must dispatch through the gateway");
     let histogram_total: u64 = stats.batch_widths.iter().sum();
     assert_eq!(histogram_total, stats.batches_dispatched, "histogram covers every window");
@@ -304,6 +310,7 @@ fn gateway_stress_mixed_tiers_abusive_peers_and_disconnects_reconcile() {
         max_batch: 4,
         max_wait_us: 150_000,
         workers: 2,
+        adaptive_wait: false,
         ..GatewayConfig::default()
     };
     let server = EaszServer::new(model.clone()).with_gateway(gateway);
@@ -506,8 +513,13 @@ fn gateway_routes_models_exactly_and_never_fuses_across_ids() {
     // distinct, every fused forward group has width exactly 1.
     let generic = model();
     let zoo = zoo_models();
-    let gateway =
-        GatewayConfig { max_batch: 4, max_wait_us: 50_000, workers: 2, ..GatewayConfig::default() };
+    let gateway = GatewayConfig {
+        max_batch: 4,
+        max_wait_us: 50_000,
+        workers: 2,
+        adaptive_wait: false,
+        ..GatewayConfig::default()
+    };
     let mut server = EaszServer::new(generic.clone()).with_gateway(gateway);
     for (i, m) in zoo.iter().enumerate() {
         server = server.with_model(i as u8 + 1, m.clone());
@@ -573,6 +585,58 @@ fn gateway_routes_models_exactly_and_never_fuses_across_ids() {
     assert!(client.decode(&wires[1]).is_ok(), "connection must survive an unknown model id");
     drop(client);
     handle.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn threaded_front_end_sheds_refused_batch_members_in_order() {
+    // A one-slot queue whose window waits a minute: the batch's first
+    // member parks, the next two are refused and must come back as BUSY —
+    // in request order, on the same connection, after the parked member's
+    // image (released by the shutdown flush).
+    let model = model();
+    let gateway = GatewayConfig {
+        queue_depth: 1,
+        max_batch: 8,
+        max_wait_us: 60_000_000,
+        workers: 1,
+        adaptive_wait: false,
+        ..GatewayConfig::default()
+    };
+    let server = EaszServer::new(model.clone()).with_gateway(gateway);
+    let metrics = server.metrics();
+    let handle = server.spawn("127.0.0.1:0").expect("spawn");
+    let wires = containers();
+    let batch: Vec<&[u8]> = wires.iter().map(Vec::as_slice).collect();
+
+    let mut raw = TcpStream::connect(handle.addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(30))).expect("client timeout");
+    protocol::write_frame(&mut raw, protocol::DECODE_BATCH, &protocol::encode_batch(&batch))
+        .expect("write batch");
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while metrics.snapshot().requests_shed < 2 {
+        assert!(std::time::Instant::now() < deadline, "the refused members were never shed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let shutdown = std::thread::spawn(move || handle.shutdown());
+
+    let (ty, payload) = protocol::read_frame(&mut raw, 1 << 24).expect("read").expect("frame");
+    assert_eq!(ty, protocol::IMAGE, "the parked member answers first");
+    let image = protocol::decode_image(&payload).expect("image payload");
+    let local = EaszDecoder::new(&model).decode_bytes(&wires[0]).expect("local decode").to_u8();
+    assert_eq!(image.data(), local.data(), "the parked member decodes exactly");
+    for member in 1..3 {
+        let (ty, payload) = protocol::read_frame(&mut raw, 1 << 24).expect("read").expect("frame");
+        assert_eq!(ty, protocol::ERROR, "member {member}");
+        let err = protocol::WireError::from_payload(&payload).expect("error payload");
+        assert_eq!(err.code, ErrorCode::Busy, "member {member} must be shed, not decoded");
+    }
+    shutdown.join().expect("shutdown thread").expect("clean shutdown");
+
+    let stats = metrics.snapshot();
+    assert_eq!(stats.decode_requests, stats.decode_ok + stats.decode_err + stats.requests_shed);
+    assert_eq!((stats.decode_ok, stats.requests_shed), (1, 2));
+    assert_eq!(stats.error_count(ErrorCode::Busy), 2);
+    assert_eq!(stats.inline_decodes, 0);
 }
 
 #[test]

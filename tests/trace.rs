@@ -54,7 +54,13 @@ fn capture_everything() -> TraceConfig {
 /// A gateway whose windows genuinely wait (nonzero queue-wait histogram)
 /// but still close fast enough to keep the suite quick.
 fn traced_gateway() -> GatewayConfig {
-    GatewayConfig { max_batch: 4, max_wait_us: 5_000, workers: 2, ..Default::default() }
+    GatewayConfig {
+        max_batch: 4,
+        max_wait_us: 5_000,
+        workers: 2,
+        adaptive_wait: false,
+        ..Default::default()
+    }
 }
 
 /// Three concurrent clients each decode every wire; replies come back for
